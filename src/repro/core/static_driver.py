@@ -1,10 +1,7 @@
 """Round-based ("static") HBH driver.
 
-The Monte-Carlo sweeps of Section 4 need thousands of converged trees;
-running the full packet-level simulator for each would dominate wall
-clock without changing the outcome (the paper's scenarios have static
-membership).  This driver executes the *same* Appendix-A rules
-(:mod:`repro.core.rules`) synchronously, one protocol period per round:
+Executes the Appendix-A rules (:mod:`repro.core.rules`) on the shared
+round skeleton of :mod:`repro.core.round_driver`:
 
 1. every receiver emits its periodic ``join`` (walked hop-by-hop along
    its unicast route toward the source, applying the join rules);
@@ -14,26 +11,19 @@ membership).  This driver executes the *same* Appendix-A rules
    within the round;
 3. soft state ages: entries missing refreshes go stale (t1) and are
    destroyed (t2), with one round = one refresh period.
-
-``converge()`` repeats rounds until the table state stops changing.
-``distribute_data()`` then injects one data packet and records every
-link crossing and receiver delay — the measurement the paper's figures
-are built from.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from typing import Deque, Dict, Hashable, List, Optional, Set, Tuple, Union
 
 from repro.core.messages import FusionMessage, JoinMessage, TreeMessage
+from repro.core.round_driver import MAX_CASCADE, RoundDriver
 from repro.core.rules import (
     FORWARD_ONLY,
     Consume,
-    Forward,
     OriginateFusion,
-    OriginateJoin,
     OriginateTree,
     process_fusion,
     process_fusion_at_source,
@@ -41,295 +31,40 @@ from repro.core.rules import (
     process_join_at_source,
     process_tree,
 )
-from repro.core.tables import HbhChannelState, Mft, ProtocolTiming, ROUND_TIMING
-from repro.errors import ChannelError, ProtocolError, RoutingError
+from repro.core.tables import HbhChannelState, Mft, ProtocolTiming
+from repro.errors import ProtocolError, RoutingError
 from repro.metrics.distribution import DataDistribution
-from repro.obs.causal import (
-    DATA,
-    FUSION,
-    INITIAL_JOIN,
-    JOIN,
-    TREE,
-    CausalTracer,
-    Span,
-)
-from repro.obs.flight import FlightRecorder
+from repro.obs.causal import DATA, FUSION, JOIN, TREE, Span
 from repro.obs.profiling import profiled
-from repro.obs.registry import channel_label
-from repro.obs.timeline import ConvergenceMonitor, TreeTimeline
-from repro.routing.tables import UnicastRouting, shared_routing
-from repro.topology.model import NodeKind, Topology
 
 NodeId = Hashable
 
-#: Safety valve for in-round message cascades.
-_MAX_CASCADE = 100_000
 
-#: Sentinel for "origin generation not queried yet" during cache
-#: revalidation (``None`` is a legitimate answer: origin not cached).
-_UNKNOWN = object()
+class StaticHbh(RoundDriver):
+    """One HBH channel driven round-by-round to convergence."""
 
+    protocol = "hbh"
+    noun = "channel"
+    state_type = HbhChannelState
+    join_type = JoinMessage
+    join_steps_read_source = True  # the on-SPT premise of join rule 3
 
-class StaticHbh:
-    """One HBH channel driven round-by-round to convergence.
-
-    Node ids double as protocol addresses (the static driver never
-    leaves the topology layer).  Only multicast-capable *routers* apply
-    the HBH rules; hosts and unicast-only routers simply relay, which
-    is exactly the transparent-unicast-cloud property of the protocol.
-    """
-
-    def __init__(
-        self,
-        topology: Topology,
-        source: NodeId,
-        routing: Optional[UnicastRouting] = None,
-        timing: ProtocolTiming = ROUND_TIMING,
-        group: str = "G",
-    ) -> None:
-        topology.kind(source)  # validates node existence
-        self.topology = topology
-        self.routing = routing or shared_routing(topology)
-        self.source = source
-        self.timing = timing
-        self.group = group
-        self.channel = ("hbh", source)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.source_mft = Mft()
-        self.states: Dict[NodeId, HbhChannelState] = {}
-        self.receivers: Set[NodeId] = set()
-        #: Sorted membership, rebuilt on add/remove (run_round iterates
-        #: it every round; sorting per round is pure waste).
-        self._receivers_sorted: Optional[List[NodeId]] = None
-        self.round_no = 0
-        #: Count of rule-level events, exposed for overhead analysis.
-        self.messages_processed = 0
-        #: Rendered ``<S,G>`` label used by metrics and causal spans.
-        self.channel_name = channel_label(source, group)
-        #: Memoized :meth:`_applies_rules` verdicts.  Node kind and
-        #: multicast capability are fixed before a driver exists (every
-        #: ``set_multicast_capable`` call site in the experiments
-        #: configures the topology first), so the verdict is static for
-        #: the driver's lifetime.
-        self._rules_cache: Dict[NodeId, bool] = {}
-        #: Memoized :meth:`_on_spt` verdicts, valid for one routing
-        #: generation; None generation (duck-typed learned-routing
-        #: views don't count generations) disables this cache.
-        self._spt_cache: Dict[Tuple[NodeId, NodeId], bool] = {}
-        self._spt_generation: Optional[int] = None
-        #: Precomputed walk plans for the untraced fast paths: the
-        #: rule-applying hops of a route (with their full-path
-        #: predecessors for ``arrived_from``, or the on-SPT verdicts a
-        #: join walk feeds rule 3), so steady-state walks skip the
-        #: transparent unicast hops entirely.  Valid for one routing
-        #: generation, like :attr:`_spt_cache`.
-        self._join_plans: Dict[NodeId, Tuple[Tuple[NodeId, bool], ...]] = {}
-        self._tree_plans: Dict[
-            Tuple[NodeId, NodeId], Tuple[Tuple[NodeId, NodeId], ...]
-        ] = {}
-        self._plan_generation: Optional[int] = None
-        #: Per-entry origin dependencies of the three route-fact caches
-        #: above, as ``(origin, origin_generation)`` pairs captured at
-        #: build time.  When the routing substrate supports per-origin
-        #: generations (incremental :class:`UnicastRouting`), a global
-        #: generation bump revalidates each entry against its own
-        #: origins and keeps everything a fault did not touch; without
-        #: that support the caches still clear wholesale.
-        self._join_plan_deps: Dict[
-            NodeId, Tuple[Tuple[NodeId, Optional[int]], ...]
-        ] = {}
-        self._tree_plan_deps: Dict[
-            Tuple[NodeId, NodeId], Tuple[Tuple[NodeId, Optional[int]], ...]
-        ] = {}
-        self._spt_deps: Dict[
-            Tuple[NodeId, NodeId], Tuple[Tuple[NodeId, Optional[int]], ...]
-        ] = {}
-        #: Control messages are frozen dataclasses and the untraced
-        #: walks re-emit identical ones every round — cache per target
-        #: (no generation dependency; messages carry no routing facts).
-        self._join_msg_cache: Dict[NodeId, JoinMessage] = {}
-        self._tree_msg_cache: Dict[NodeId, TreeMessage] = {}
-        #: Memoized-path accessor when the routing substrate offers one
-        #: (UnicastRouting does; learned views walk next_hop instead).
-        self._route_path = getattr(self.routing, "path_tuple", None)
-        #: Optional causal tracer + flight recorder (attach_tracer).
-        #: None keeps every walk on the untraced fast path.
-        self.causal: Optional[CausalTracer] = None
-        self.flight: Optional[FlightRecorder] = None
-        #: Optional tree-dynamics timeline (attach_timeline).  None (or
-        #: a disabled timeline) costs one check per round — the walks
-        #: themselves are never touched; the timeline diffs table state
-        #: at round boundaries only.
-        self.timeline: Optional[TreeTimeline] = None
-        self._timeline_messages = 0
+        self._tree_msgs: Dict[NodeId, TreeMessage] = {}
 
-    # ------------------------------------------------------------------
-    # Causal tracing (see repro.obs.causal)
-    # ------------------------------------------------------------------
-    def attach_tracer(self, tracer: Optional[CausalTracer],
-                      flight: Optional[FlightRecorder] = None) -> None:
-        """Wire a causal tracer (and optionally a flight recorder) into
-        every message walk; ``None`` detaches both."""
-        self.causal = tracer
-        if tracer is None:
-            self.flight = None
-            return
-        if flight is not None:
-            tracer.recorder = flight
-        recorder = tracer.recorder
-        self.flight = recorder if isinstance(recorder, FlightRecorder) else None
+    def _source_table(self):
+        return self.source_mft
 
-    def attach_timeline(self, timeline: Optional[TreeTimeline],
-                        monitor: Optional[ConvergenceMonitor] = None
-                        ) -> None:
-        """Wire a tree-dynamics timeline (and optionally an online
-        convergence monitor) into the round loop; ``None`` detaches."""
-        self.timeline = timeline
-        self._timeline_messages = self.messages_processed
-        if timeline is not None and monitor is not None:
-            timeline.attach_monitor(monitor)
-        if timeline is not None and timeline.monitor is not None:
-            timeline.monitor.watch("hbh", self.channel_name)
+    def _expire_source(self, now: float, timing: ProtocolTiming) -> None:
+        self.source_mft.expire(now, timing)
 
-    def _span(self, name: str, node: NodeId, target: NodeId = None,
-              parent: Optional[Span] = None,
-              trace_id: Optional[str] = None) -> Optional[Span]:
-        """Open a span when tracing is on; a single None/flag check —
-        and None back — when it is off."""
-        causal = self.causal
-        if causal is None or not causal.enabled:
-            return None
-        return causal.begin(name, node, self.now, self.channel_name,
-                            trace_id=trace_id, parent=parent, target=target)
-
-    @staticmethod
-    def _stamp(message, span: Optional[Span]):
-        """Copy the span identity onto a control message (no-op copy
-        elided entirely when untraced)."""
-        if span is None:
-            return message
-        return replace(message, trace_id=span.trace_id, span_id=span.span_id)
-
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-    def add_receiver(self, receiver: NodeId) -> None:
-        """Join ``receiver`` to the channel.
-
-        The receiver's first join is sent immediately and — per
-        Section 3.1 — travels uninterceptable to the source.
-        """
-        self.topology.kind(receiver)
-        if receiver == self.source:
-            raise ChannelError("the source cannot join its own channel")
-        if receiver in self.receivers:
-            raise ChannelError(f"receiver {receiver} already joined")
-        self.receivers.add(receiver)
-        self._receivers_sorted = None
-        timeline = self.timeline
-        if timeline is not None and timeline.enabled:
-            timeline.perturb(self.now, "hbh", self.channel_name,
-                             node=receiver, detail="join")
-        span = self._span(INITIAL_JOIN, receiver, target=receiver)
-        join = self._stamp(
-            JoinMessage(self.channel, receiver, initial=True), span
-        )
-        self._walk_join(receiver, join, span)
-
-    def remove_receiver(self, receiver: NodeId) -> None:
-        """Leave the channel: the receiver just stops sending joins
-        (Section 2.1); its state ages out over subsequent rounds."""
-        try:
-            self.receivers.remove(receiver)
-        except KeyError:
-            raise ChannelError(f"receiver {receiver} is not joined") from None
-        self._receivers_sorted = None
-        timeline = self.timeline
-        if timeline is not None and timeline.enabled:
-            timeline.perturb(self.now, "hbh", self.channel_name,
-                             node=receiver, detail="leave")
-
-    # ------------------------------------------------------------------
-    # Rounds
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Virtual time: the current round number."""
-        return float(self.round_no)
-
-    def run_round(self) -> None:
-        """One protocol period: joins, tree/fusion cascade, aging."""
-        self.round_no += 1
-        receivers = self._receivers_sorted
-        if receivers is None:
-            receivers = self._receivers_sorted = sorted(self.receivers)
-        causal = self.causal
-        if (causal is None or not causal.enabled) and self._plans_current():
-            # Untraced steady state: dispatch straight to the fast
-            # walk, one tracing/plan check for the whole round.
-            now = float(self.round_no)
-            channel = self.channel
-            fast = self._walk_join_fast
-            msg_cache = self._join_msg_cache
-            for receiver in receivers:
-                message = msg_cache.get(receiver)
-                if message is None:
-                    message = JoinMessage(channel, receiver)
-                    msg_cache[receiver] = message
-                fast(receiver, message, now)
-        else:
-            for receiver in receivers:
-                span = self._span(JOIN, receiver, target=receiver)
-                self._walk_join(
-                    receiver,
-                    self._stamp(JoinMessage(self.channel, receiver), span),
-                    span,
-                )
-        self._tree_phase()
-        self._expire()
-        timeline = self.timeline
-        if timeline is not None and timeline.enabled:
-            self._observe_timeline(timeline)
-        if self.flight is not None:
-            watermark = self.causal.next_id if self.causal is not None else 0
-            self.flight.snapshot(
-                self.channel_name, self.now, f"round {self.round_no}",
-                self._snapshot(), span_watermark=watermark,
-            )
-
-    @profiled("hbh.converge")
-    def converge(self, max_rounds: int = 40, settle_rounds: int = 2) -> int:
-        """Run rounds until the tree is stable; returns rounds executed.
-
-        Stability = the structural snapshot unchanged for
-        ``settle_rounds`` consecutive rounds.  Raises
-        :class:`ProtocolError` if ``max_rounds`` pass without
-        convergence (a rule bug, not a tuning matter).
-        """
-        stable = 0
-        previous = self._snapshot()
-        for executed in range(1, max_rounds + 1):
-            self.run_round()
-            current = self._snapshot()
-            if current == previous:
-                stable += 1
-                if stable >= settle_rounds:
-                    return executed
-            else:
-                stable = 0
-                previous = current
-        raise ProtocolError(
-            f"HBH did not converge within {max_rounds} rounds "
-            f"({len(self.receivers)} receivers on {self.topology.name!r})"
-        )
-
-    def _snapshot(self) -> Tuple:
-        """A hashable structural view of all channel state.
-
-        Runs twice per round (convergence compares consecutive
+    def _table_rows(self) -> List[Tuple]:
+        """Runs twice per round (convergence compares consecutive
         snapshots), so the entry flags are computed inline — same
         predicates as :meth:`MftEntry.is_marked` / ``is_stale`` —
-        instead of two method calls per entry.
-        """
+        instead of two method calls per entry."""
         now, timing = self.now, self.timing
         t1 = timing.t1
         items: List[Tuple] = []
@@ -355,358 +90,89 @@ class StaticHbh:
             append((source, "src", entry.address,
                     marked_at is not None and (now - marked_at) < t1,
                     entry.forced_stale or (now - entry.refreshed_at) >= t1))
-        return tuple(items)
-
-    def _observe_timeline(self, timeline: TreeTimeline) -> None:
-        """Feed the round's table state into the tree-dynamics
-        timeline: one structural row diff at the round boundary (the
-        walks themselves stay on the untraced fast path) plus this
-        round's control-message count into the windowed load series.
-        Mark flags use the same freshness predicate as
-        :meth:`_snapshot`, so an expired mark is a fusion change."""
-        now, timing = self.now, self.timing
-        t1 = timing.t1
-        rows: List[Tuple] = []
-        marks: List[Tuple] = []
-        states = self.states
-        for node in sorted(states):
-            state = states[node]
-            mct = state.mct
-            if mct is not None:
-                rows.append((node, "mct", mct.entry.address))
-            mft = state.mft
-            if mft is not None:
-                for entry in mft.entries():
-                    row = (node, "mft", entry.address)
-                    rows.append(row)
-                    marked_at = entry.marked_at
-                    if marked_at is not None and (now - marked_at) < t1:
-                        marks.append(row)
-        source = self.source
-        for entry in self.source_mft.entries():
-            row = (source, "src", entry.address)
-            rows.append(row)
-            marked_at = entry.marked_at
-            if marked_at is not None and (now - marked_at) < t1:
-                marks.append(row)
-        timeline.observe_tables(now, "hbh", self.channel_name, rows, marks)
-        timeline.control(now, "hbh", self.channel_name,
-                         self.messages_processed - self._timeline_messages)
-        self._timeline_messages = self.messages_processed
-        timeline.poll(now)
-
-    def _expire(self) -> None:
-        now, timing = self.now, self.timing
-        self.source_mft.expire(now, timing)
-        emptied = []
-        for node, state in self.states.items():
-            state.expire(now, timing)
-            if not state.in_tree:
-                emptied.append(node)
-        for node in emptied:
-            del self.states[node]
+        return items
 
     # ------------------------------------------------------------------
-    # Message walks (hop-by-hop over unicast routes)
+    # Joins
     # ------------------------------------------------------------------
-    def _state_at(self, node: NodeId) -> HbhChannelState:
-        state = self.states.get(node)
-        if state is None:
-            state = HbhChannelState()
-            self.states[node] = state
-        return state
-
-    def _applies_rules(self, node: NodeId) -> bool:
-        """HBH rules run at multicast-capable transit routers only.
-        Memoized: called once per hop of every walk, against topology
-        facts that are fixed before the driver is built."""
-        cached = self._rules_cache.get(node)
-        if cached is None:
-            cached = (
-                node != self.source
-                and self.topology.kind(node) is NodeKind.ROUTER
-                and self.topology.is_multicast_capable(node)
-            )
-            self._rules_cache[node] = cached
-        return cached
-
-    def _hops(self, origin: NodeId, destination: NodeId):
-        """The hop sequence ``origin -> destination`` *excluding*
-        ``origin`` — what a message walk visits.  Uses the routing
-        substrate's memoized path when it has one; otherwise chains
-        ``next_hop`` exactly as the walks used to, so learned-routing
-        views keep their step-at-a-time semantics."""
-        if origin == destination:
-            return ()
-        route_path = self._route_path
-        if route_path is not None:
-            return route_path(origin, destination)[1:]
-        hops = []
-        current = origin
-        routing = self.routing
-        while current != destination:
-            current = routing.next_hop(current, destination)
-            hops.append(current)
-        return hops
-
-    def _plans_current(self) -> bool:
-        """Whether the generation-keyed walk plans are usable (and
-        fresh).  False for routing substrates without a ``generation``
-        counter — learned views change routes mid-convergence, so their
-        walks must re-resolve every hop."""
-        generation = getattr(self.routing, "generation", None)
-        if generation is None:
-            return False
-        if generation != self._plan_generation:
-            self._revalidate_route_caches()
-            self._spt_generation = generation
-            self._plan_generation = generation
-        return True
-
-    def _revalidate_route_caches(self) -> None:
-        """The routing generation moved: drop exactly the cached route
-        facts whose origin trees changed.
-
-        Entries are checked against their recorded ``(origin,
-        generation)`` dependencies via ``routing.origin_generation``;
-        substrates without per-origin generations fall back to the old
-        wholesale clear.  Each origin is queried once (the query
-        triggers its lazy repair, so a clean origin costs one repaired
-        no-op and every plan over it survives the fault).
-        """
-        origin_gen = getattr(self.routing, "origin_generation", None)
-        if origin_gen is None:
-            self._join_plans.clear()
-            self._tree_plans.clear()
-            self._spt_cache.clear()
-            self._join_plan_deps.clear()
-            self._tree_plan_deps.clear()
-            self._spt_deps.clear()
-            return
-        fresh: Dict[NodeId, Optional[int]] = {}
-
-        def stale(deps) -> bool:
-            if deps is None:
-                return True
-            for node, gen in deps:
-                current = fresh.get(node, _UNKNOWN)
-                if current is _UNKNOWN:
-                    current = origin_gen(node)
-                    fresh[node] = current
-                if gen is None or current is None or current != gen:
-                    return True
-            return False
-
-        for cache, deps_map in (
-            (self._join_plans, self._join_plan_deps),
-            (self._tree_plans, self._tree_plan_deps),
-            (self._spt_cache, self._spt_deps),
-        ):
-            dead = [key for key in cache if stale(deps_map.get(key))]
-            for key in dead:
-                del cache[key]
-                deps_map.pop(key, None)
-
-    def _route_deps(
-        self, nodes
-    ) -> Tuple[Tuple[NodeId, Optional[int]], ...]:
-        """Capture ``(origin, generation)`` pairs for every distinct
-        origin whose table a just-built route fact consulted.  Called
-        immediately after the fact is computed, so every table is built
-        and synced — each query is one integer compare."""
-        origin_gen = getattr(self.routing, "origin_generation", None)
-        if origin_gen is None:
-            return ()
-        deps: Dict[NodeId, Optional[int]] = {}
-        for node in nodes:
-            if node not in deps:
-                deps[node] = origin_gen(node)
-        return tuple(deps.items())
+    def _join_step(self, node: NodeId, index: int, origin: NodeId) -> Tuple:
+        # Rule 3's routing premise is a function of the origin alone
+        # (every planned join has joiner == origin), so it lives in
+        # the plan.
+        return (node, index, self._on_spt(node, origin))
 
     def _on_spt(self, node: NodeId, receiver: NodeId) -> bool:
         """Does ``node`` lie on a unicast shortest path from the source
         to ``receiver``?  The routing fact behind join rule 3's premise
         (a branching node serves receivers on forward shortest paths);
-        unreachable endpoints — e.g. mid-fault — count as off-path.
-
-        Memoized per routing generation; substrates without a
-        ``generation`` counter (learned-routing views) are always
-        computed fresh, since their answers change mid-convergence.
-        """
-        generation = getattr(self.routing, "generation", None)
-        if generation is None:
-            return self._compute_on_spt(node, receiver)
-        if generation != self._spt_generation:
-            self._revalidate_route_caches()
-            self._spt_generation = generation
-            self._plan_generation = generation
-        key = (node, receiver)
-        cached = self._spt_cache.get(key)
-        if cached is None:
-            cached = self._compute_on_spt(node, receiver)
-            self._spt_cache[key] = cached
-            self._spt_deps[key] = self._route_deps((self.source, node))
-        return cached
-
-    def _compute_on_spt(self, node: NodeId, receiver: NodeId) -> bool:
+        unreachable endpoints — e.g. mid-fault — count as off-path."""
+        distance = self.routing.distance
         try:
-            return (
-                self.routing.distance(self.source, node)
-                + self.routing.distance(node, receiver)
-                == self.routing.distance(self.source, receiver)
-            )
+            return (distance(self.source, node) + distance(node, receiver)
+                    == distance(self.source, receiver))
         except RoutingError:
             return False
 
     def _walk_join(self, origin: NodeId, message: JoinMessage,
                    span: Optional[Span] = None) -> None:
         """Walk a join from ``origin`` toward the source, applying the
-        join rules at every HBH router until interception or arrival."""
-        if span is None and message.joiner == origin \
-                and self._plans_current():
-            self._walk_join_fast(origin, message, float(self.round_no))
-            return
+        join rules at every HBH router until interception or arrival.
+
+        Join rule 3 is the only outcome besides forwarding: the
+        interceptor refreshes the joiner's entry and joins the channel
+        itself upstream — a nested walk, run before the intercepted
+        one finishes.
+        """
         self.messages_processed += 1
-        # Hoist the per-hop lookups (self.* attribute loads, the `now`
-        # property, the rules-cache indirection) into locals.
+        steps, hops, _ = (self._join_plans.get(origin)
+                          or self._join_plan(origin))
         now = float(self.round_no)
-        source = self.source
         timing = self.timing
         states = self.states
-        joiner = message.joiner
-        rules_cache = self._rules_cache
-        for current in self._hops(origin, source):
-            if span is not None:
-                span.hops.append(current)
-            if current == source:
-                if span is not None:
-                    existed = joiner in self.source_mft
-                process_join_at_source(self.source_mft, message, now)
-                if span is not None:
-                    verb = "refresh-join" if existed else "add"
-                    self.causal.effect(span, source, "source-mft",
-                                       joiner, verb, now)
-                    self.causal.finish(
-                        span,
-                        f"reached source (MFT entry {joiner} "
-                        f"{'refreshed' if existed else 'added'})",
-                    )
-                return
-            applies = rules_cache.get(current)
-            if applies is None:
-                applies = self._applies_rules(current)
-            if not applies:
-                continue
+        for current, index, on_spt in steps:
             state = states.get(current)
             if state is None:
-                state = HbhChannelState()
-                states[current] = state
-            actions = process_join(
-                state, message, current, now, timing,
-                on_spt=self._on_spt(current, joiner),
-            )
-            consumed = False
-            for action in actions:
-                cls = action.__class__
-                if cls is Consume:
-                    consumed = True
-                elif cls is OriginateJoin:
-                    child = None
-                    if span is not None:
-                        # Rule 3: the interceptor refreshed the joiner's
-                        # entry and joins the channel itself upstream.
-                        self.causal.effect(span, current, "mft",
-                                           joiner, "refresh-join", now)
-                        child = self.causal.begin(
-                            JOIN, current, now, self.channel_name,
-                            parent=span, target=action.joiner,
-                        )
-                    self._walk_join(
-                        current,
-                        self._stamp(JoinMessage(self.channel, action.joiner),
-                                    child),
-                        child,
-                    )
-                elif cls is not Forward:  # pragma: no cover
-                    raise ProtocolError(f"unexpected join action {action!r}")
-            if consumed:
-                if span is not None:
-                    self.causal.finish(
-                        span, f"intercepted by {current} (join rule 3)"
-                    )
+                state = states[current] = HbhChannelState()
+            if process_join(state, message, current, now, timing,
+                            on_spt=on_spt) is FORWARD_ONLY:
+                continue
+            nested = (self._join_msgs.get(current)
+                      or self._join_message(current))
+            if span is None:
+                self._walk_join(current, nested, None)
                 return
+            causal = self.causal
+            span.hops.extend(hops[:index + 1])
+            causal.effect(span, current, "mft", message.joiner,
+                          "refresh-join", now)
+            child = causal.begin(JOIN, current, now, self.channel_name,
+                                 parent=span, target=current)
+            self._walk_join(current, self._stamp(nested, child), child)
+            causal.finish(span, f"intercepted by {current} (join rule 3)")
+            return
+        if span is None:
+            process_join_at_source(self.source_mft, message, now)
+            return
+        joiner = message.joiner
+        existed = joiner in self.source_mft
+        process_join_at_source(self.source_mft, message, now)
+        span.hops.extend(hops)
+        self.causal.effect(span, self.source, "source-mft", joiner,
+                           "refresh-join" if existed else "add", now)
+        self.causal.finish(
+            span,
+            f"reached source (MFT entry {joiner} "
+            f"{'refreshed' if existed else 'added'})",
+        )
 
-    def _walk_join_fast(self, origin: NodeId, message: JoinMessage,
-                        now: float) -> None:
-        """Untraced join walk over a precomputed plan.
-
-        The hop sequence and the per-node rules verdicts are both
-        static for a routing generation, so the walk reduces to "apply
-        the join rules at each rule-applying hop, then deliver at the
-        source" — the transparent unicast hops do nothing in an
-        untraced walk and are precomputed away.  Rule-3 re-originations
-        are walked iteratively (LIFO matches the recursive order: an
-        interception stops the outer walk, so at most one nested join
-        is ever pending).
-
-        Every fast-walked join has ``joiner == origin`` (periodic joins
-        start at the receiver; rule-3 re-originations carry the
-        interceptor's own address), so the per-hop on-SPT verdicts are
-        a function of the origin alone and live *inside* the plan.
-        Callers must have checked :meth:`_plans_current` (and, from the
-        generic walk, the joiner invariant) this round.
-        """
-        source = self.source
-        timing = self.timing
-        states = self.states
-        join_plans = self._join_plans
-        channel = self.channel
-        source_mft = self.source_mft
-        msg_cache = self._join_msg_cache
-        walk = [(origin, message)]
-        pop = walk.pop
-        while walk:
-            origin, message = pop()
-            self.messages_processed += 1
-            plan = join_plans.get(origin)
-            if plan is None:
-                applies = self._applies_rules
-                on_spt = self._compute_on_spt
-                hops = self._hops(origin, source)
-                plan = tuple((h, on_spt(h, origin))
-                             for h in hops
-                             if applies(h))
-                join_plans[origin] = plan
-                self._join_plan_deps[origin] = \
-                    self._route_deps((origin, *hops))
-            consumed = False
-            for current, on_spt in plan:
-                state = states.get(current)
-                if state is None:
-                    state = HbhChannelState()
-                    states[current] = state
-                actions = process_join(state, message, current, now,
-                                       timing, on_spt=on_spt)
-                if actions is FORWARD_ONLY:
-                    continue
-                for action in actions:
-                    cls = action.__class__
-                    if cls is Consume:
-                        consumed = True
-                    elif cls is OriginateJoin:
-                        nested = msg_cache.get(current)
-                        if nested is None:
-                            nested = JoinMessage(channel, current)
-                            msg_cache[current] = nested
-                        walk.append((current, nested))
-                    elif cls is not Forward:  # pragma: no cover
-                        raise ProtocolError(
-                            f"unexpected join action {action!r}"
-                        )
-                if consumed:
-                    break
-            if not consumed and origin != source:
-                process_join_at_source(source_mft, message, now)
+    # ------------------------------------------------------------------
+    # Trees and fusions
+    # ------------------------------------------------------------------
+    def _tree_message(self, target: NodeId) -> TreeMessage:
+        """Build and cache the periodic ``tree(S, target)`` (callers
+        look in :attr:`_tree_msgs` first)."""
+        message = self._tree_msgs[target] = TreeMessage(self.channel, target)
+        return message
 
     def _tree_phase(self) -> None:
         """The source's periodic tree emission plus the full in-round
@@ -723,14 +189,11 @@ class StaticHbh:
         queue: Deque[
             Tuple[NodeId, Union[TreeMessage, FusionMessage], Optional[Span]]
         ] = deque()
-        seen: Set[Tuple] = set()
-        msg_cache = self._tree_msg_cache
+        tree_msgs = self._tree_msgs
         for target in self.source_mft.tree_targets(self.now, self.timing):
-            message = msg_cache.get(target)
-            if message is None:
-                message = TreeMessage(self.channel, target)
-                msg_cache[target] = message
-            queue.append((self.source, message, None))
+            queue.append((self.source,
+                          tree_msgs.get(target) or self._tree_message(target),
+                          None))
         causal = self.causal
         tracing = causal is not None and causal.enabled
         #: All of one round's emission shares one trace: the origin
@@ -739,24 +202,21 @@ class StaticHbh:
             f"{self.channel_name}/round{self.round_no}.tree" if tracing
             else None
         )
+        seen: Set[Tuple] = set()
         steps = 0
-        popleft = queue.popleft
-        seen_add = seen.add
-        fast_ok = not tracing and self._plans_current()
-        now = float(self.round_no)
         while queue:
             steps += 1
-            if steps > _MAX_CASCADE:  # pragma: no cover - safety valve
+            if steps > MAX_CASCADE:  # pragma: no cover - safety valve
                 raise ProtocolError("tree/fusion cascade did not terminate")
-            origin, message, parent = popleft()
-            is_tree = isinstance(message, TreeMessage)
+            origin, message, parent = queue.popleft()
+            is_tree = message.__class__ is TreeMessage
             if is_tree:
                 key = ("tree", origin, message.target)
             else:
                 key = ("fusion", origin, tuple(message.receivers))
             if key in seen:
                 continue
-            seen_add(key)
+            seen.add(key)
             span: Optional[Span] = None
             if tracing:
                 if is_tree:
@@ -772,141 +232,35 @@ class StaticHbh:
                     )
                 message = self._stamp(message, span)
             if is_tree:
-                if fast_ok:
-                    self._walk_tree_fast(origin, message, queue, now)
-                else:
-                    self._walk_tree(origin, message, queue, span)
+                self._walk_tree(origin, message, queue, span)
             else:
-                self._walk_fusion(origin, message, queue, span)
+                self._walk_fusion(origin, message, span)
 
-    def _walk_tree(
-        self,
-        origin: NodeId,
-        message: TreeMessage,
-        queue: Deque,
-        span: Optional[Span] = None,
-    ) -> None:
+    def _walk_tree(self, origin: NodeId, message: TreeMessage,
+                   queue: Deque, span: Optional[Span] = None) -> None:
         """Walk ``tree(S, target)`` from ``origin`` toward its target,
-        applying the tree rules at every HBH router on the way."""
+        applying the tree rules at every HBH router on the way (each
+        needs its full-path predecessor as ``arrived_from``, the
+        upstream interface the tree message arrived on)."""
         self.messages_processed += 1
-        # Hot loop (same treatment as _walk_join): locals for the
-        # per-hop lookups, one rules-cache probe per hop.
+        target = message.target
+        steps, hops, _ = (self._tree_plans.get((origin, target))
+                          or self._tree_plan(origin, target))
         now = float(self.round_no)
         timing = self.timing
-        channel = self.channel
         states = self.states
         queue_append = queue.append
-        target_node = message.target
-        rules_cache = self._rules_cache
-        previous = origin
-        for current in self._hops(origin, target_node):
-            if span is not None:
-                span.hops.append(current)
-            applies = rules_cache.get(current)
-            if applies is None:
-                applies = self._applies_rules(current)
-            if not applies:
-                if current == target_node:
-                    # Arrived at a host/receiver (or the source): consumed.
-                    if span is not None:
-                        self.causal.finish(span, f"reached {target_node}")
-                    return
-                previous = current
-                continue
+        tree_msgs = self._tree_msgs
+        for current, arrived_from, index in steps:
             state = states.get(current)
             if state is None:
-                state = HbhChannelState()
-                states[current] = state
+                state = states[current] = HbhChannelState()
             if span is not None:
-                before = self._tree_facts(state, target_node)
-            actions = process_tree(
-                state, message, current, now,
-                timing, arrived_from=previous,
-            )
+                before = self._tree_facts(state, target)
+            actions = process_tree(state, message, current, now, timing,
+                                   arrived_from=arrived_from)
             if span is not None:
-                self._tree_effects(span, current, state, target_node, before)
-            consumed = False
-            for action in actions:
-                cls = action.__class__
-                if cls is Consume:
-                    consumed = True
-                elif cls is OriginateTree:
-                    if action.target != current:
-                        queue_append(
-                            (current,
-                             TreeMessage(channel, action.target),
-                             span)
-                        )
-                elif cls is OriginateFusion:
-                    queue_append(
-                        (
-                            current,
-                            FusionMessage(
-                                channel, action.receivers, sender=current
-                            ),
-                            span,
-                        )
-                    )
-                elif cls is not Forward:  # pragma: no cover
-                    raise ProtocolError(f"unexpected tree action {action!r}")
-            if consumed:
-                if span is not None:
-                    if before[0]:  # the target held an MFT: rule 1
-                        regenerated = sum(
-                            1 for a in actions if isinstance(a, OriginateTree)
-                        )
-                        self.causal.finish(
-                            span,
-                            f"delivered to branching node {current} "
-                            f"(tree rule 1: {regenerated} trees regenerated)",
-                        )
-                    else:
-                        self.causal.finish(span, f"reached {target_node}")
-                return
-            previous = current
-        if span is not None and not span.finished:
-            self.causal.finish(span, f"reached {target_node}")
-
-    def _walk_tree_fast(self, origin: NodeId, message: TreeMessage,
-                        queue: Deque, now: float) -> None:
-        """Untraced tree walk over a precomputed plan (see
-        :meth:`_walk_join_fast`): only the rule-applying hops do
-        anything, and each needs its full-path predecessor as
-        ``arrived_from`` (the upstream interface the tree message
-        arrived on).  Callers must have checked :meth:`_plans_current`
-        this round."""
-        self.messages_processed += 1
-        timing = self.timing
-        channel = self.channel
-        states = self.states
-        queue_append = queue.append
-        msg_cache = self._tree_msg_cache
-        target_node = message.target
-        plan_key = (origin, target_node)
-        plan = self._tree_plans.get(plan_key)
-        if plan is None:
-            applies = self._applies_rules
-            steps = []
-            prev = origin
-            hops = tuple(self._hops(origin, target_node))
-            for hop in hops:
-                if applies(hop):
-                    steps.append((hop, prev))
-                prev = hop
-            plan = tuple(steps)
-            self._tree_plans[plan_key] = plan
-            # The walk consults the tables of every hop except the
-            # final target (the last next_hop decision happens one
-            # node earlier).
-            self._tree_plan_deps[plan_key] = \
-                self._route_deps((origin, *hops[:-1]))
-        for current, arrived_from in plan:
-            state = states.get(current)
-            if state is None:
-                state = HbhChannelState()
-                states[current] = state
-            actions = process_tree(state, message, current, now,
-                                   timing, arrived_from=arrived_from)
+                self._tree_effects(span, current, state, target, before)
             if actions is FORWARD_ONLY:
                 continue
             consumed = False
@@ -915,26 +269,36 @@ class StaticHbh:
                 if cls is Consume:
                     consumed = True
                 elif cls is OriginateTree:
-                    target = action.target
-                    if target != current:
-                        nested = msg_cache.get(target)
-                        if nested is None:
-                            nested = TreeMessage(channel, target)
-                            msg_cache[target] = nested
-                        queue_append((current, nested, None))
+                    regenerated = action.target
+                    if regenerated != current:
+                        queue_append((current,
+                                      tree_msgs.get(regenerated)
+                                      or self._tree_message(regenerated),
+                                      span))
                 elif cls is OriginateFusion:
-                    queue_append(
-                        (current,
-                         FusionMessage(channel, action.receivers,
-                                       sender=current),
-                         None)
-                    )
-                elif cls is not Forward:  # pragma: no cover
-                    raise ProtocolError(
-                        f"unexpected tree action {action!r}"
-                    )
+                    queue_append((current,
+                                  FusionMessage(self.channel,
+                                                action.receivers,
+                                                sender=current),
+                                  span))
             if consumed:
+                if span is not None:
+                    span.hops.extend(hops[:index + 1])
+                    if before[0]:  # the target held an MFT: rule 1
+                        regenerated = sum(1 for a in actions
+                                          if a.__class__ is OriginateTree)
+                        self.causal.finish(
+                            span,
+                            f"delivered to branching node {current} "
+                            f"(tree rule 1: {regenerated} trees "
+                            f"regenerated)",
+                        )
+                    else:
+                        self.causal.finish(span, f"reached {target}")
                 return
+        if span is not None:
+            span.hops.extend(hops)
+            self.causal.finish(span, f"reached {target}")
 
     def _tree_facts(self, state: HbhChannelState,
                     target: NodeId) -> Tuple[bool, bool, Optional[NodeId]]:
@@ -994,16 +358,12 @@ class StaticHbh:
             return state.upstream
         return self.routing.next_hop(node, self.source)
 
-    def _walk_fusion(
-        self,
-        origin: NodeId,
-        message: FusionMessage,
-        queue: Deque,
-        span: Optional[Span] = None,
-    ) -> None:
+    def _walk_fusion(self, origin: NodeId, message: FusionMessage,
+                     span: Optional[Span] = None) -> None:
         """Walk a fusion from ``origin`` upstream toward the source
         (tree-path first, unicast fallback), applying the fusion rules
-        until interception."""
+        until interception.  The only walk without a plan: its route
+        follows table state, not unicast routes alone."""
         self.messages_processed += 1
         current = origin
         visited: Set[NodeId] = {origin}
@@ -1031,10 +391,8 @@ class StaticHbh:
                 marked = [] if mft is None else \
                     [r for r in message.receivers if r in mft]
                 adopted = mft is not None and message.sender not in mft
-            actions = process_fusion(
-                state, message, self.now,
-                arrived_from=previous,
-            )
+            actions = process_fusion(state, message, self.now,
+                                     arrived_from=previous)
             if actions is FORWARD_ONLY:
                 continue
             if any(isinstance(action, Consume) for action in actions):
@@ -1147,27 +505,3 @@ class StaticHbh:
             self.causal.finish(
                 span, "; ".join(parts) or f"terminated at {current}"
             )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def branching_nodes(self) -> List[NodeId]:
-        """Routers currently holding an MFT (the tree's branch points)."""
-        return sorted(
-            node for node, state in self.states.items() if state.is_branching
-        )
-
-    def tree_nodes(self) -> List[NodeId]:
-        """All routers holding any state for the channel."""
-        return sorted(node for node, state in self.states.items()
-                      if state.in_tree)
-
-    def describe(self) -> str:
-        """Human-readable dump of the converged tree (examples/tests)."""
-        lines = [f"HBH channel {self.channel}, round {self.round_no}"]
-        lines.append(f"  source {self.source}: {self.source_mft!r}")
-        for node in sorted(self.states):
-            state = self.states[node]
-            table = state.mft if state.mft is not None else state.mct
-            lines.append(f"  node {node}: {table!r}")
-        return "\n".join(lines)

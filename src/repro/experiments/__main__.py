@@ -62,6 +62,21 @@ def _write_flows(records, path: str) -> None:
     print(f"wrote {count} flow records to {path}", file=sys.stderr)
 
 
+def _known_scenarios(target: str) -> Optional[List[str]]:
+    """The ``--scenario`` names ``target`` replays (None: any/none)."""
+    if target in ("churn", "flows"):
+        from repro.experiments.churn import SCENARIOS as CHURN
+
+        return sorted(CHURN)
+    if target in ("faults", "timeline", "explain"):
+        from repro.experiments.explain import FIG2_SCENARIO
+        from repro.experiments.faults import SCENARIOS as FAULTS
+
+        extra = FIG2_SCENARIO if target == "explain" else "all"
+        return [extra] + sorted(FAULTS)
+    return None
+
+
 def _exec_summary(result: SweepResult) -> None:
     """One stderr line on what the execution engine did (CI greps for
     the 'cache hits' text)."""
@@ -421,6 +436,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     args = parser.parse_args(argv)
+    known = _known_scenarios(args.target)
+    if args.scenario is not None and known is not None \
+            and args.scenario not in known:
+        print(f"{parser.prog}: error: unknown --scenario "
+              f"{args.scenario!r} for {args.target} "
+              f"(known: {', '.join(known)})", file=sys.stderr)
+        return 2
 
     tracer = flight = None
     if args.trace_out or args.flight_out or args.target == "explain":

@@ -14,8 +14,9 @@ four curves of the paper's figures.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Set
 
+from repro.core.tables import ROUND_TIMING, ProtocolTiming
 from repro.errors import ExperimentError
 from repro.metrics.distribution import DataDistribution
 from repro.obs.registry import MetricsRegistry, channel_label
@@ -216,6 +217,48 @@ class MulticastProtocol(abc.ABC):
             f"{type(self).__name__}(source={self.source}, "
             f"receivers={len(self.receivers)})"
         )
+
+
+class RoundDriverProtocol(MulticastProtocol):
+    """A protocol served by a :class:`~repro.core.round_driver.RoundDriver`
+    (HBH, REUNITE): the observability and introspection calls forward
+    to the driver.  Subclasses name the driver class and keep
+    membership, ``converge`` and ``distribute_data`` in their own class
+    body."""
+
+    #: The round driver class this protocol wraps (set by subclasses).
+    driver_class: Callable[..., Any]
+
+    def __init__(self, topology: Topology, source: NodeId,
+                 routing: Optional[UnicastRouting] = None,
+                 timing: ProtocolTiming = ROUND_TIMING,
+                 group: str = "G") -> None:
+        super().__init__(topology, source, routing, group=group)
+        self.driver = self.driver_class(topology, source,
+                                        routing=self.routing, timing=timing,
+                                        group=group)
+
+    def control_message_count(self) -> int:
+        return self.driver.messages_processed
+
+    def branching_nodes(self) -> List[NodeId]:
+        return self.driver.branching_nodes()
+
+    def attach_tracer(self, tracer, flight=None) -> bool:
+        self.driver.attach_tracer(tracer, flight=flight)
+        return True
+
+    def causal_tracer(self):
+        return self.driver.causal
+
+    def attach_timeline(self, timeline, monitor=None) -> bool:
+        self.driver.attach_timeline(timeline, monitor=monitor)
+        return True
+
+    def finish_timeline(self) -> None:
+        timeline = self.driver.timeline
+        if timeline is not None and timeline.monitor is not None:
+            timeline.monitor.finalize(self.driver.now)
 
 
 ProtocolFactory = Callable[..., MulticastProtocol]

@@ -2,29 +2,20 @@
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import Hashable
 
-from repro.core.tables import ProtocolTiming, ROUND_TIMING
 from repro.metrics.distribution import DataDistribution
-from repro.protocols.base import MulticastProtocol, register_protocol
+from repro.protocols.base import RoundDriverProtocol, register_protocol
 from repro.protocols.reunite.static_driver import StaticReunite
-from repro.routing.tables import UnicastRouting
-from repro.topology.model import Topology
 
 NodeId = Hashable
 
 
 @register_protocol("reunite")
-class ReuniteProtocol(MulticastProtocol):
+class ReuniteProtocol(RoundDriverProtocol):
     """REUNITE baseline, round-driven to convergence."""
 
-    def __init__(self, topology: Topology, source: NodeId,
-                 routing: Optional[UnicastRouting] = None,
-                 timing: ProtocolTiming = ROUND_TIMING,
-                 group: str = "G") -> None:
-        super().__init__(topology, source, routing, group=group)
-        self.driver = StaticReunite(topology, source, routing=self.routing,
-                                    timing=timing, group=group)
+    driver_class = StaticReunite
 
     def add_receiver(self, receiver: NodeId) -> None:
         self.driver.add_receiver(receiver)
@@ -40,29 +31,7 @@ class ReuniteProtocol(MulticastProtocol):
     def distribute_data(self) -> DataDistribution:
         return self.driver.distribute_data()
 
-    def control_message_count(self) -> int:
-        return self.driver.messages_processed
-
-    def branching_nodes(self) -> List[NodeId]:
-        return self.driver.branching_nodes()
-
     def soft_state(self):
         from repro.verify.state import reunite_soft_state
 
         return reunite_soft_state(self.driver)
-
-    def attach_tracer(self, tracer, flight=None) -> bool:
-        self.driver.attach_tracer(tracer, flight=flight)
-        return True
-
-    def causal_tracer(self):
-        return self.driver.causal
-
-    def attach_timeline(self, timeline, monitor=None) -> bool:
-        self.driver.attach_timeline(timeline, monitor=monitor)
-        return True
-
-    def finish_timeline(self) -> None:
-        timeline = self.driver.timeline
-        if timeline is not None and timeline.monitor is not None:
-            timeline.monitor.finalize(self.driver.now)

@@ -1,4 +1,4 @@
-"""Round-based REUNITE driver (mirror of the HBH static driver).
+"""Round-based REUNITE driver (the HBH round skeleton, REUNITE rules).
 
 One round = one protocol period: every receiver's periodic join walks
 toward the source under the interception rules; the source then emits
@@ -11,18 +11,15 @@ these rules — nothing is special-cased.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from typing import Deque, Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.core.rules import Consume, Forward
-from repro.core.tables import ProtocolTiming, ROUND_TIMING
-from repro.errors import ChannelError, ProtocolError
+from repro.core.round_driver import MAX_CASCADE, RoundDriver
+from repro.core.rules import Consume
+from repro.core.tables import ProtocolTiming
+from repro.errors import ProtocolError
 from repro.metrics.distribution import DataDistribution
-from repro.obs.causal import DATA, INITIAL_JOIN, JOIN, TREE, CausalTracer, Span
-from repro.obs.flight import FlightRecorder
+from repro.obs.causal import DATA, TREE, Span
 from repro.obs.profiling import profiled
-from repro.obs.registry import channel_label
-from repro.obs.timeline import ConvergenceMonitor, TreeTimeline
 from repro.protocols.reunite.messages import ReuniteJoin, ReuniteTree
 from repro.protocols.reunite.rules import (
     RegenerateTree,
@@ -31,182 +28,47 @@ from repro.protocols.reunite.rules import (
     process_tree,
 )
 from repro.protocols.reunite.tables import ReuniteState
-from repro.routing.tables import UnicastRouting, shared_routing
-from repro.topology.model import NodeKind, Topology
 
 NodeId = Hashable
 
-_MAX_CASCADE = 100_000
 
+class StaticReunite(RoundDriver):
+    """One REUNITE conversation driven round-by-round to convergence.
 
-class StaticReunite:
-    """One REUNITE conversation driven round-by-round to convergence."""
+    Unlike HBH, a receiver's first join may be intercepted anywhere in
+    the existing tree — REUNITE has no first-join exemption, the root
+    of the Fig. 2 problem.  A leaving receiver goes silent; upstream
+    state decays and marked tree messages reconfigure the branch
+    (Fig. 2(b-d)).
+    """
 
-    def __init__(
-        self,
-        topology: Topology,
-        source: NodeId,
-        routing: Optional[UnicastRouting] = None,
-        timing: ProtocolTiming = ROUND_TIMING,
-        group: str = "G",
-    ) -> None:
-        topology.kind(source)
-        self.topology = topology
-        self.routing = routing or shared_routing(topology)
-        self.source = source
-        self.timing = timing
-        self.group = group
-        self.channel = ("reunite", source)
+    protocol = "reunite"
+    noun = "conversation"
+    state_type = ReuniteState
+    join_type = ReuniteJoin
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.source_state = ReuniteState()
-        self.states: Dict[NodeId, ReuniteState] = {}
-        self.receivers: Set[NodeId] = set()
-        self.round_no = 0
-        self.messages_processed = 0
-        self.channel_name = channel_label(source, group)
-        #: Memoized-path accessor when the routing substrate offers one
-        #: (UnicastRouting does, repaired incrementally under faults;
-        #: learned views walk next_hop step by step instead).
-        self._route_path = getattr(self.routing, "path_tuple", None)
-        #: Optional causal tracer + flight recorder (attach_tracer);
-        #: None keeps every walk on the untraced fast path.
-        self.causal: Optional[CausalTracer] = None
-        self.flight: Optional[FlightRecorder] = None
-        #: Optional tree-dynamics timeline (attach_timeline): one check
-        #: per round, table diffs at round boundaries only.
-        self.timeline: Optional[TreeTimeline] = None
-        self._timeline_messages = 0
+        self._tree_msgs: Dict[Tuple[NodeId, bool], ReuniteTree] = {}
 
-    # ------------------------------------------------------------------
-    # Causal tracing (see repro.obs.causal)
-    # ------------------------------------------------------------------
-    def attach_tracer(self, tracer: Optional[CausalTracer],
-                      flight: Optional[FlightRecorder] = None) -> None:
-        """Wire a causal tracer (and optionally a flight recorder) into
-        every message walk; ``None`` detaches both."""
-        self.causal = tracer
-        if tracer is None:
-            self.flight = None
-            return
-        if flight is not None:
-            tracer.recorder = flight
-        recorder = tracer.recorder
-        self.flight = recorder if isinstance(recorder, FlightRecorder) else None
+    def _source_table(self):
+        return self.source_state.mft
 
-    def attach_timeline(self, timeline: Optional[TreeTimeline],
-                        monitor: Optional[ConvergenceMonitor] = None
-                        ) -> None:
-        """Wire a tree-dynamics timeline (and optionally an online
-        convergence monitor) into the round loop; ``None`` detaches."""
-        self.timeline = timeline
-        self._timeline_messages = self.messages_processed
-        if timeline is not None and monitor is not None:
-            timeline.attach_monitor(monitor)
-        if timeline is not None and timeline.monitor is not None:
-            timeline.monitor.watch("reunite", self.channel_name)
+    def _expire_source(self, now: float, timing: ProtocolTiming) -> None:
+        self.source_state.expire(now, timing)
+        source_mft = self.source_state.mft
+        if source_mft is not None and source_mft.dst is None:
+            # Fig. 2(d): the source re-anchors data on the oldest fresh
+            # receiver once the old dst entry dies.
+            source_mft.promote_receiver_to_dst(now, timing)
+            if source_mft.empty:
+                self.source_state.mft = None
 
-    def _span(self, name: str, node: NodeId, target: NodeId = None,
-              parent: Optional[Span] = None,
-              trace_id: Optional[str] = None) -> Optional[Span]:
-        causal = self.causal
-        if causal is None or not causal.enabled:
-            return None
-        return causal.begin(name, node, self.now, self.channel_name,
-                            trace_id=trace_id, parent=parent, target=target)
-
-    @staticmethod
-    def _stamp(message, span: Optional[Span]):
-        if span is None:
-            return message
-        return replace(message, trace_id=span.trace_id, span_id=span.span_id)
-
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-    def add_receiver(self, receiver: NodeId) -> None:
-        """Join: the receiver's join is walked immediately and may be
-        intercepted anywhere in the existing tree (unlike HBH, REUNITE
-        has no first-join exemption — the root of the Fig. 2 problem)."""
-        self.topology.kind(receiver)
-        if receiver == self.source:
-            raise ChannelError("the source cannot join its own conversation")
-        if receiver in self.receivers:
-            raise ChannelError(f"receiver {receiver} already joined")
-        self.receivers.add(receiver)
-        timeline = self.timeline
-        if timeline is not None and timeline.enabled:
-            timeline.perturb(self.now, "reunite", self.channel_name,
-                             node=receiver, detail="join")
-        span = self._span(INITIAL_JOIN, receiver, target=receiver)
-        self._walk_join(
-            receiver,
-            self._stamp(ReuniteJoin(self.channel, receiver, initial=True),
-                        span),
-            span,
-        )
-
-    def remove_receiver(self, receiver: NodeId) -> None:
-        """Leave: go silent; upstream state decays and marked tree
-        messages reconfigure the branch (Fig. 2(b-d))."""
-        try:
-            self.receivers.remove(receiver)
-        except KeyError:
-            raise ChannelError(f"receiver {receiver} is not joined") from None
-        timeline = self.timeline
-        if timeline is not None and timeline.enabled:
-            timeline.perturb(self.now, "reunite", self.channel_name,
-                             node=receiver, detail="leave")
-
-    # ------------------------------------------------------------------
-    # Rounds
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Virtual time: the current round number."""
-        return float(self.round_no)
-
-    def run_round(self) -> None:
-        """One protocol period: joins, tree cascade, aging."""
-        self.round_no += 1
-        for receiver in sorted(self.receivers):
-            span = self._span(JOIN, receiver, target=receiver)
-            self._walk_join(
-                receiver,
-                self._stamp(ReuniteJoin(self.channel, receiver), span),
-                span,
-            )
-        self._tree_phase()
-        self._expire()
-        timeline = self.timeline
-        if timeline is not None and timeline.enabled:
-            self._observe_timeline(timeline)
-        if self.flight is not None:
-            watermark = self.causal.next_id if self.causal is not None else 0
-            self.flight.snapshot(
-                self.channel_name, self.now, f"round {self.round_no}",
-                self._snapshot(), span_watermark=watermark,
-            )
-
-    @profiled("reunite.converge")
-    def converge(self, max_rounds: int = 40, settle_rounds: int = 2) -> int:
-        """Run rounds until the structural snapshot stabilises."""
-        stable = 0
-        previous = self._snapshot()
-        for executed in range(1, max_rounds + 1):
-            self.run_round()
-            current = self._snapshot()
-            if current == previous:
-                stable += 1
-                if stable >= settle_rounds:
-                    return executed
-            else:
-                stable = 0
-                previous = current
-        raise ProtocolError(
-            f"REUNITE did not converge within {max_rounds} rounds "
-            f"({len(self.receivers)} receivers on {self.topology.name!r})"
-        )
-
-    def _snapshot(self) -> Tuple:
+    def _table_rows(self) -> List[Tuple]:
+        """Source first, then nodes in order; the dst anchor is its own
+        table, so a Fig. 2(d) re-anchor shows up as the dst row
+        moving."""
         now, timing = self.now, self.timing
         items: List[Tuple] = []
 
@@ -229,118 +91,41 @@ class StaticReunite:
         emit(self.source, self.source_state)
         for node in sorted(self.states):
             emit(node, self.states[node])
-        return tuple(items)
-
-    def _observe_timeline(self, timeline: TreeTimeline) -> None:
-        """Feed the round's table state into the tree-dynamics
-        timeline (structural row diff at the round boundary, plus this
-        round's control-message count).  REUNITE has no fusion marks;
-        the dst anchor is its own table so a Fig. 2(d) re-anchor shows
-        up as the dst row moving."""
-        now = self.now
-        rows: List[Tuple] = []
-
-        def emit(node: NodeId, state: ReuniteState) -> None:
-            if state.mct is not None:
-                for entry in state.mct:
-                    rows.append((node, "mct", entry.address))
-            if state.mft is not None:
-                dst = state.mft.dst
-                if dst is not None:
-                    rows.append((node, "dst", dst.address))
-                for entry in state.mft.receivers():
-                    rows.append((node, "mft", entry.address))
-
-        emit(self.source, self.source_state)
-        for node in sorted(self.states):
-            emit(node, self.states[node])
-        timeline.observe_tables(now, "reunite", self.channel_name, rows)
-        timeline.control(now, "reunite", self.channel_name,
-                         self.messages_processed - self._timeline_messages)
-        self._timeline_messages = self.messages_processed
-        timeline.poll(now)
-
-    def _expire(self) -> None:
-        now, timing = self.now, self.timing
-        self.source_state.expire(now, timing)
-        source_mft = self.source_state.mft
-        if source_mft is not None and source_mft.dst is None:
-            # Fig. 2(d): the source re-anchors data on the oldest fresh
-            # receiver once the old dst entry dies.
-            source_mft.promote_receiver_to_dst(now, timing)
-            if source_mft.empty:
-                self.source_state.mft = None
-        emptied = []
-        for node, state in self.states.items():
-            state.expire(now, timing)
-            if not state.in_tree:
-                emptied.append(node)
-        for node in emptied:
-            del self.states[node]
+        return items
 
     # ------------------------------------------------------------------
-    # Message walks
+    # Joins
     # ------------------------------------------------------------------
-    def _state_at(self, node: NodeId) -> ReuniteState:
-        state = self.states.get(node)
-        if state is None:
-            state = ReuniteState()
-            self.states[node] = state
-        return state
-
-    def _applies_rules(self, node: NodeId) -> bool:
-        return (
-            node != self.source
-            and self.topology.kind(node) is NodeKind.ROUTER
-            and self.topology.is_multicast_capable(node)
-        )
-
-    def _hops(self, origin: NodeId, destination: NodeId):
-        """The hop sequence ``origin -> destination`` *excluding*
-        ``origin`` — what a message walk visits.  Uses the routing
-        substrate's memoized path when it has one; otherwise chains
-        ``next_hop`` exactly as the walks used to, so learned-routing
-        views keep their step-at-a-time semantics."""
-        if origin == destination:
-            return ()
-        route_path = self._route_path
-        if route_path is not None:
-            return route_path(origin, destination)[1:]
-        hops = []
-        current = origin
-        routing = self.routing
-        while current != destination:
-            current = routing.next_hop(current, destination)
-            hops.append(current)
-        return hops
-
     def _walk_join(self, origin: NodeId, message: ReuniteJoin,
                    span: Optional[Span] = None) -> None:
+        """Walk a join toward the source until the first router whose
+        join rules consume it (or the source)."""
         self.messages_processed += 1
-        for current in self._hops(origin, self.source):
-            if span is not None:
-                span.hops.append(current)
-            if current == self.source:
-                if span is not None:
-                    before = self._join_facts(self.source_state, message)
-                process_join_at_source(
-                    self.source_state, message, self.now, self.timing
-                )
-                if span is not None:
-                    self._join_effects(span, self.source, self.source_state,
-                                       message, before, at_source=True)
-                return
-            if not self._applies_rules(current):
-                continue
-            state = self._state_at(current)
+        steps, hops, _ = (self._join_plans.get(origin)
+                          or self._join_plan(origin))
+        now, timing = float(self.round_no), self.timing
+        states = self.states
+        for current, index in steps:
+            state = states.get(current)
+            if state is None:
+                state = states[current] = ReuniteState()
             if span is not None:
                 before = self._join_facts(state, message)
-            actions = process_join(state, message, self.now, self.timing)
-            if any(isinstance(action, Consume) for action in actions):
+            if process_join(state, message, now,
+                            timing)[0].__class__ is Consume:
                 if span is not None:
-                    self._join_effects(span, current, state, message, before,
-                                       at_source=False)
+                    span.hops.extend(hops[:index + 1])
+                    self._join_effects(span, current, state, message,
+                                       before, at_source=False)
                 return
+        state = self.source_state
+        if span is not None:
+            before = self._join_facts(state, message)
+        process_join_at_source(state, message, now, timing)
+        if span is not None:
+            span.hops.extend(hops)
+            self._join_effects(span, self.source, state, message, before,
+                               at_source=True)
 
     def _join_facts(self, state, message: ReuniteJoin) -> Tuple[bool, bool]:
         """(joiner already known, node already branching) before the
@@ -381,6 +166,16 @@ class StaticReunite:
         where = "reached source" if at_source else f"intercepted by {node}"
         causal.finish(span, f"{where} ({what})")
 
+    # ------------------------------------------------------------------
+    # Trees
+    # ------------------------------------------------------------------
+    def _tree_message(self, target: NodeId, marked: bool) -> ReuniteTree:
+        """Build and cache ``tree(S, target)`` (callers look in
+        :attr:`_tree_msgs` first)."""
+        message = self._tree_msgs[(target, marked)] = \
+            ReuniteTree(self.channel, target, marked=marked)
+        return message
+
     def _tree_phase(self) -> None:
         queue: Deque[Tuple[NodeId, ReuniteTree, Optional[Span]]] = deque()
         # A node regenerates tree(S, rj) once per period in the real
@@ -389,11 +184,13 @@ class StaticReunite:
         # unbounded — the loop then resolves through soft state.
         emitted: Set[Tuple[NodeId, NodeId, bool]] = set()
 
-        def enqueue(origin: NodeId, message: ReuniteTree,
+        def enqueue(origin: NodeId, target: NodeId, marked: bool,
                     parent: Optional[Span] = None) -> None:
-            key = (origin, message.target, message.marked)
+            key = (origin, target, marked)
             if key not in emitted:
                 emitted.add(key)
+                message = (self._tree_msgs.get((target, marked))
+                           or self._tree_message(target, marked))
                 queue.append((origin, message, parent))
 
         mft = self.source_state.mft
@@ -401,13 +198,10 @@ class StaticReunite:
             return
         now, timing = self.now, self.timing
         if mft.dst is not None:
-            enqueue(
-                self.source,
-                ReuniteTree(self.channel, mft.dst.address,
-                            marked=mft.dst.is_stale(now, timing)),
-            )
+            enqueue(self.source, mft.dst.address,
+                    mft.dst.is_stale(now, timing))
         for entry in mft.fresh_receivers(now, timing):
-            enqueue(self.source, ReuniteTree(self.channel, entry.address))
+            enqueue(self.source, entry.address, False)
         causal = self.causal
         tracing = causal is not None and causal.enabled
         round_trace = (
@@ -417,59 +211,48 @@ class StaticReunite:
         steps = 0
         while queue:
             steps += 1
-            if steps > _MAX_CASCADE:  # pragma: no cover - safety valve
+            if steps > MAX_CASCADE:  # pragma: no cover - safety valve
                 raise ProtocolError("REUNITE tree cascade did not terminate")
             origin, message, parent = queue.popleft()
             span: Optional[Span] = None
             if tracing:
                 span = causal.begin(
-                    TREE, origin, self.now, self.channel_name,
+                    TREE, origin, now, self.channel_name,
                     trace_id=round_trace if parent is None else None,
                     parent=parent, target=message.target,
                 )
                 message = self._stamp(message, span)
-            self._walk_tree(origin, message, queue, enqueue, span)
+            self._walk_tree(origin, message, enqueue, span)
 
-    def _walk_tree(self, origin: NodeId, message: ReuniteTree,
-                   queue: Deque, enqueue,
+    def _walk_tree(self, origin: NodeId, message: ReuniteTree, enqueue,
                    span: Optional[Span] = None) -> None:
+        """Walk ``tree(S, target)`` toward its target: every router on
+        the way (the target itself excluded) applies the tree rules and
+        forwards; branching nodes regenerate per fresh receiver."""
         self.messages_processed += 1
-        target_node = message.target
-        for current in self._hops(origin, target_node):
-            if span is not None:
-                span.hops.append(current)
-            if current == target_node:
-                if span is not None:
-                    self.causal.finish(span, f"reached {target_node}")
-                return  # consumed by the receiver (or its leaf node)
-            if not self._applies_rules(current):
-                continue
-            state = self._state_at(current)
+        target = message.target
+        steps, hops, _ = (self._tree_plans.get((origin, target))
+                          or self._tree_plan(origin, target))
+        now, timing = float(self.round_no), self.timing
+        states = self.states
+        for current, _, _ in steps:
+            if current == target:
+                break  # consumed by the receiver (or its leaf node)
+            state = states.get(current)
+            if state is None:
+                state = states[current] = ReuniteState()
             if span is not None:
                 before = self._tree_facts(state, message)
-            actions = process_tree(state, message, self.now, self.timing)
+            actions = process_tree(state, message, now, timing)
             if span is not None:
                 self._tree_effects(span, current, state, message, before)
-            consumed = False
             for action in actions:
-                if isinstance(action, Consume):
-                    consumed = True
-                elif isinstance(action, RegenerateTree):
-                    if action.target != current:
-                        enqueue(
-                            current,
-                            ReuniteTree(self.channel, action.target,
-                                        marked=action.marked),
-                            span,
-                        )
-                elif not isinstance(action, Forward):  # pragma: no cover
-                    raise ProtocolError(f"unexpected tree action {action!r}")
-            if consumed:
-                if span is not None:
-                    self.causal.finish(span, f"consumed by {current}")
-                return
-        if span is not None and not span.finished:
-            self.causal.finish(span, f"reached {target_node}")
+                if action.__class__ is RegenerateTree \
+                        and action.target != current:
+                    enqueue(current, action.target, action.marked, span)
+        if span is not None:
+            span.hops.extend(hops)
+            self.causal.finish(span, f"reached {target}")
 
     def _tree_facts(self, state,
                     message: ReuniteTree) -> Tuple[bool, bool]:
@@ -587,23 +370,3 @@ class StaticReunite:
             self.causal.finish(
                 span, "; ".join(parts) or f"terminated at {current}"
             )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def branching_nodes(self) -> List[NodeId]:
-        """Routers currently holding an MFT."""
-        return sorted(
-            node for node, state in self.states.items() if state.is_branching
-        )
-
-    def describe(self) -> str:
-        """Human-readable dump of the converged tree."""
-        lines = [f"REUNITE conversation {self.channel}, round {self.round_no}"]
-        mft = self.source_state.mft
-        lines.append(f"  source {self.source}: {mft!r}")
-        for node in sorted(self.states):
-            state = self.states[node]
-            table = state.mft if state.mft is not None else state.mct
-            lines.append(f"  node {node}: {table!r}")
-        return "\n".join(lines)

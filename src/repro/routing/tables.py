@@ -13,9 +13,8 @@ cost listener on its topology, appends every effective ``set_cost`` to
 a delta log, and repairs each cached table lazily — on its next query —
 via :func:`repro.routing.incremental.repair_tree`, touching only the
 origins whose trees the deltas actually cross.  A per-origin
-``generation`` counter lets downstream memoizers (the static drivers'
-walk plans, the on-SPT cache) revalidate per origin instead of
-rebuilding wholesale.  Setting ``REPRO_ROUTING_FULL=1`` in the
+``generation`` counter lets downstream memoizers (the round drivers'
+walk plans) revalidate per origin instead of rebuilding wholesale.  Setting ``REPRO_ROUTING_FULL=1`` in the
 environment is the escape hatch: every repair becomes a from-scratch
 Dijkstra rebuild (still lazy, still per-origin), which the determinism
 tests use to prove the two modes byte-identical.
@@ -204,20 +203,17 @@ class UnicastRouting:
         self.topology = topology
         self._tables: Dict[NodeId, RoutingTable] = {}
         #: Full forward paths, memoized as immutable tuples so hot
-        #: consumers (the static driver's message walks) can iterate a
+        #: consumers (the round drivers' walk plans) can iterate a
         #: route without one ``next_hop`` call per hop.  Flushed
         #: wholesale (they are cross-table facts: each hop consults its
         #: own table) the first time a path is asked for after deltas.
         self._paths: Dict[Tuple[NodeId, NodeId], Tuple[NodeId, ...]] = {}
         self._paths_seq = 0
         #: Bumped on every cost delta and by :meth:`invalidate`.
-        #: Consumers that memoize route facts (e.g. the static driver's
-        #: walk plans) compare this to learn that *something* changed,
-        #: then use :meth:`origin_generation` to keep every plan whose
-        #: origins did not.  Duck-typed routing substitutes (the
-        #: learned-routing views) do NOT provide it — cache holders
-        #: must probe with ``getattr(routing, "generation", None)`` and
-        #: skip caching when absent.
+        #: Consumers that memoize route facts (the round drivers' walk
+        #: plans) compare this to learn that *something* changed, then
+        #: use :meth:`origin_generation` to keep every plan whose
+        #: origins did not.
         self.generation = 0
         #: Monotone count of cost deltas observed (the delta-log
         #: sequence); each table records the sequence it has applied.

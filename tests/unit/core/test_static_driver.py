@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.static_driver import StaticHbh
 from repro.errors import ChannelError
+from repro.protocols.reunite.static_driver import StaticReunite
 from repro.topology.random_graphs import line_topology, star_topology
 
 
@@ -146,15 +147,19 @@ class TestUnicastOnlyRouters:
 
 
 class TestPlanRevalidation:
-    """Walk plans are memoized against per-origin routing generations:
-    a cost delta that crosses none of a plan's tables must not evict
-    it, while one that reroutes any consulted table must."""
+    """Walk plans (shared by both round drivers) are memoized against
+    per-origin routing generations: a cost delta that crosses none of
+    a plan's tables must not evict it, while one that reroutes any
+    consulted table must.  Runs on HBH; the subclass below reruns it
+    on REUNITE."""
+
+    driver_cls = StaticHbh
 
     def _converged(self, fig2_topology):
         from repro.routing.tables import UnicastRouting
 
         routing = UnicastRouting(fig2_topology)
-        driver = StaticHbh(fig2_topology, source=0, routing=routing)
+        driver = self.driver_cls(fig2_topology, source=0, routing=routing)
         driver.add_receiver(11)
         driver.converge()
         driver.distribute_data()
@@ -183,4 +188,9 @@ class TestPlanRevalidation:
         driver.converge()
         rebuilt = driver._join_plans.get(11)
         assert rebuilt is not None and rebuilt is not plan
+        assert rebuilt[1] == (3, 1, 0)  # the plan's full hop tuple
         assert driver.distribute_data().complete
+
+
+class TestReunitePlanRevalidation(TestPlanRevalidation):
+    driver_cls = StaticReunite

@@ -31,6 +31,19 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    @pytest.mark.parametrize("target", ["churn", "faults", "flows",
+                                        "explain", "timeline"])
+    def test_unknown_scenario_is_a_usage_error(self, target, capsys):
+        assert main([target, "--scenario", "nope"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "unknown --scenario 'nope'" in lines[0]
+        known = "iptv-primetime" if target in ("churn", "flows") \
+            else "primary-cut"
+        assert known in lines[0]
+        assert captured.out == ""
+
     def test_progress_goes_to_stderr(self, capsys):
         main(["fig7a", "--runs", "2"])
         err = capsys.readouterr().err
