@@ -248,11 +248,11 @@ def test_link_transmit_disabled_flow(benchmark):
 
 
 def test_workload_stream_generation(benchmark):
-    """10k churn events drawn from a 1k-channel Zipf model — the
+    """The first 10k churn events of a 1k-channel Zipf model — the
     stream-generation half of the churn engine, no protocol work.
-    Guards the lazy slot machinery against accidental
-    materialization (an eager variant holds every future leave in
-    memory and is an order of magnitude slower to first event)."""
+    The prefix stops inside slot 0 (≈32k events), so this times the
+    lazy in-slot merge; drawing and sorting whole slots before the
+    first yield shows as ≈3x slower."""
     from repro.workload import ChurnModel, ChurnSchedule, SessionDuration
 
     model = ChurnModel(

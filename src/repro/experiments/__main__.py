@@ -443,6 +443,13 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{args.scenario!r} for {args.target} "
               f"(known: {', '.join(known)})", file=sys.stderr)
         return 2
+    for flag, value, least in (("--events", args.events, 1),
+                               ("--channels", args.channels, 1),
+                               ("--stream-limit", args.stream_limit, 0)):
+        if value is not None and value < least:
+            print(f"{parser.prog}: error: {flag} must be >= {least}, "
+                  f"got {value}", file=sys.stderr)
+            return 2
 
     tracer = flight = None
     if args.trace_out or args.flight_out or args.target == "explain":

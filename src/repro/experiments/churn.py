@@ -124,7 +124,7 @@ class ChurnScenario:
             region = tuple(sorted(sites, key=str)[:count])
             departures = (RegionalDeparture(time, region, leave_fraction),)
         return ChurnModel(
-            channels=channels or self.channels,
+            channels=self.channels if channels is None else channels,
             base_rate=self.base_rate,
             popularity_exponent=self.popularity_exponent,
             session=SessionDuration(kind=self.session_kind,
@@ -277,8 +277,8 @@ def _churn_cell(scenario_name: str, protocol: str, shard: int,
     from repro.obs.flow import FlowTelemetry
 
     scenario = get_scenario(scenario_name)
-    n_channels = channels or scenario.channels
-    limit = events or scenario.events
+    n_channels = scenario.channels if channels is None else channels
+    limit = scenario.events if events is None else events
     setup = scenario_setup(scenario, seed)
     topology, source = setup.topology, setup.source
     sites = tuple(setup.candidates)
@@ -491,6 +491,13 @@ def run_churn(scenario_name: str = "iptv-primetime",
     from repro.exec.executor import CellTask, SweepExecutor
 
     get_scenario(scenario_name)
+    # Checked before any cell runs: a bad size is no cell failure to retry.
+    if (events is not None and events < 0) or \
+            (channels is not None and channels < 1):
+        raise ExperimentError(
+            f"churn needs events >= 0 and channels >= 1, got "
+            f"events={events}, channels={channels}"
+        )
     protocols = tuple(protocols) if protocols else CHURN_PROTOCOLS
     for protocol in protocols:
         if protocol not in CHURN_PROTOCOLS:

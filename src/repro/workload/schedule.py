@@ -1,15 +1,36 @@
-"""The lazy churn stream: millions of membership events, O(1) memory.
+"""The lazy churn stream: millions of membership events, bounded memory.
 
 A :class:`ChurnSchedule` turns a :class:`~repro.workload.model.ChurnModel`
 into a deterministic, *streaming* sequence of timestamped
-:class:`MembershipEvent` join/leave pairs.  Nothing is materialised:
-the generator walks fixed-width time slots, draws each slot's arrivals
-from a slot-keyed ``random.Random`` (string-seeded, so the stream is
-identical under any ``PYTHONHASHSEED``), and parks each session's
-future leave in a rolling per-slot bucket.  Peak memory is the number
-of *concurrently active* sessions (bounded by ``rate * session.cap``),
-independent of how many events are consumed — a 1M-event stream and a
-1B-event stream hold the same state.
+:class:`MembershipEvent` join/leave pairs.  The generator walks
+fixed-width time slots, draws each slot's arrivals from a slot-keyed
+``random.Random`` (string-seeded, so the stream is identical under any
+``PYTHONHASHSEED``), and parks each session's future leave in a rolling
+per-slot bucket.
+
+Cost model.  Each slot is merged lazily, as it is drawn: the slot's due
+leaves (its bucket) sit in a heap keyed ``(time, seq)``, and every leave
+timed before the next join is popped before that join is yielded.  The
+first event therefore costs O(1) draws, and a prefix of N events costs
+O(N) draws plus one heapify of the current slot's due leaves — never a
+whole slot's arrivals.  Memory is the pending sessions (bounded by
+``rate * session.cap``, independent of how many events are consumed —
+a 1M-event stream and a 1B-event stream hold the same state) plus that
+heap.
+
+Why the lazy merge equals drawing, sorting and emitting whole slots:
+
+- the per-slot RNG draw sequence is unchanged (the merge only decides
+  *when* each drawn event is yielded, never what is drawn);
+- a regional departure fires once the draw has passed its trigger (or
+  the slot ends).  By then every session joined at or before the
+  trigger is in the buckets, in the same order, and the departure's
+  own RNG is drawn only for sessions with ``join <= trigger < leave``,
+  so it makes the same choices as after a whole-slot draw.  Every leave
+  already yielded lies before the trigger and is not eligible;
+- a retimed session leaves at the trigger, so no later departure can
+  select it again; its old heap item is recognised as stale and
+  skipped.
 
 Determinism contract (the Hypothesis suite pins all of it):
 
@@ -34,7 +55,9 @@ that keeps every draw attributable to one slot's RNG.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import (
@@ -48,7 +71,7 @@ from typing import (
     Sequence,
 )
 
-from repro.workload.model import ChurnModel, WorkloadError
+from repro.workload.model import ChurnModel, RegionalDeparture, WorkloadError
 
 NodeId = Hashable
 
@@ -140,22 +163,22 @@ class ChurnSchedule:
         exactly); ``channels`` keeps only those channel indices;
         ``start`` drops events before that time (generation still
         replays from t=0, so a sliced stream is byte-identical to the
-        same slice of the full one).
+        same slice of the full one).  A negative ``limit`` raises
+        :class:`WorkloadError` at the call, before any generation.
         """
+        if limit is not None and limit < 0:
+            raise WorkloadError(f"event limit must be >= 0: {limit}")
         stream: Iterator[MembershipEvent] = self._generate()
         if limit is not None:
             stream = itertools.islice(stream, limit)
         wanted = frozenset(channels) if channels is not None else None
-        for event in stream:
-            if event.time < start:
-                continue
-            if wanted is not None and event.channel not in wanted:
-                continue
-            yield event
+        return (event for event in stream
+                if event.time >= start
+                and (wanted is None or event.channel in wanted))
 
     def _generate(self) -> Iterator[MembershipEvent]:
-        """The unbounded global stream (see module docstring for the
-        slot/bucket construction)."""
+        """The unbounded global stream (see the module docstring for
+        the slot/bucket construction and why the lazy merge is exact)."""
         model = self.model
         sites = self.sites
         n_sites = len(sites)
@@ -168,16 +191,47 @@ class ChurnSchedule:
         seed = self.seed
         #: leave-slot index -> [leave_time, join_time, channel, site, seq]
         pending: Dict[int, List[list]] = {}
+        #: slot ``k``'s due leaves as (leave_time, seq, entry); an item
+        #: whose entry a departure retimed after the push is stale
+        due: List[tuple] = []
         departures = sorted(enumerate(model.departures),
                             key=lambda pair: (pair[1].time, pair[0]))
         next_departure = 0
         seq = 0
         k = 0
+
+        def fire(before: float) -> float:
+            """Apply every departure triggering before ``before``;
+            returns the next trigger time."""
+            nonlocal next_departure
+            while next_departure < len(departures):
+                index, departure = departures[next_departure]
+                if departure.time >= before:
+                    return departure.time
+                next_departure += 1
+                moved = _retime(pending, slot, seed, index, departure)
+                if int(departure.time // slot) == k:
+                    for entry in moved:
+                        heapq.heappush(due, (entry[0], entry[4], entry))
+            return math.inf
+
+        def flush(before: float) -> Iterator[MembershipEvent]:
+            """Yield the due leaves timed before ``before``."""
+            while due and due[0][0] < before:
+                leave_time, _seq, entry = heapq.heappop(due)
+                if entry[0] == leave_time:
+                    yield MembershipEvent(
+                        time=leave_time, kind=LEAVE, channel=entry[2],
+                        site=entry[3], hosts=hosts, seq=entry[4])
+
+        trigger = fire(0.0)
         while True:
             slot_start = k * slot
             slot_end = slot_start + slot
             rng = random.Random(f"{seed}/churn/{k}")
-            joins: List[MembershipEvent] = []
+            due = [(entry[0], entry[4], entry)
+                   for entry in pending.get(k, ())]
+            heapq.heapify(due)
             t = slot_start
             while True:
                 t += rng.expovariate(peak)
@@ -185,55 +239,31 @@ class ChurnSchedule:
                     break
                 if rng.random() * peak > rate(t):
                     continue  # thinned away (off-peak instant)
+                # Every session joined at or before a passed trigger is
+                # in ``pending`` already, so the departure sees what it
+                # would see after the whole slot's draw.
+                if trigger < t:
+                    trigger = fire(t)
+                if due and due[0][0] < t:
+                    yield from flush(t)
                 channel = popularity.sample(rng)
                 site = sites[rng.randrange(n_sites)]
                 duration = session.sample(rng)
-                joins.append(MembershipEvent(
+                yield MembershipEvent(
                     time=t, kind=JOIN, channel=channel, site=site,
                     hosts=hosts, seq=seq,
-                ))
+                )
                 leave_time = t + duration
-                pending.setdefault(int(leave_time // slot), []).append(
-                    [leave_time, t, channel, site, seq])
+                bucket = int(leave_time // slot)
+                entry = [leave_time, t, channel, site, seq]
+                pending.setdefault(bucket, []).append(entry)
+                if bucket == k:
+                    heapq.heappush(due, (leave_time, seq, entry))
                 seq += 1
-            # Correlated regional departures triggering inside this
-            # slot: every session active at the trigger (joined before,
-            # leaving after) at a region site departs early with the
-            # departure's probability.  The walk order (buckets by
-            # index, entries in insertion order) and the departure's
-            # own string-seeded RNG make the retiming deterministic.
-            while (next_departure < len(departures)
-                   and departures[next_departure][1].time < slot_end):
-                index, departure = departures[next_departure]
-                next_departure += 1
-                dep_rng = random.Random(f"{seed}/departure/{index}")
-                region = frozenset(departure.sites)
-                trigger = departure.time
-                moved: List[list] = []
-                for bucket_key in sorted(pending):
-                    if (bucket_key + 1) * slot <= trigger:
-                        continue  # bucket ends before the trigger
-                    kept: List[list] = []
-                    for entry in pending[bucket_key]:
-                        leave_time, join_time, _channel, site, _seq = entry
-                        if (join_time <= trigger < leave_time
-                                and site in region
-                                and dep_rng.random() < departure.fraction):
-                            entry[0] = trigger
-                            moved.append(entry)
-                        else:
-                            kept.append(entry)
-                    pending[bucket_key] = kept
-                if moved:
-                    pending.setdefault(int(trigger // slot), []).extend(moved)
-            leaves = [
-                MembershipEvent(time=entry[0], kind=LEAVE, channel=entry[2],
-                                site=entry[3], hosts=hosts, seq=entry[4])
-                for entry in pending.pop(k, ())
-            ]
-            merged = joins + leaves
-            merged.sort(key=_event_order)
-            yield from merged
+            if trigger < slot_end:
+                trigger = fire(slot_end)
+            yield from flush(math.inf)
+            pending.pop(k, None)
             k += 1
 
     # ------------------------------------------------------------------
@@ -261,10 +291,39 @@ class ChurnSchedule:
                 f"channels={self.model.channels}, sites={len(self.sites)})")
 
 
-def _event_order(event: MembershipEvent):
-    """Total order for simultaneous events: joins before leaves, then
-    the global join-draw sequence."""
-    return (event.time, 0 if event.kind == JOIN else 1, event.seq)
+def _retime(pending: Dict[int, List[list]], slot: float, seed: int,
+            index: int, departure: RegionalDeparture) -> List[list]:
+    """Apply one correlated regional departure to the pending leaves.
+
+    Every session active at the trigger (joined at or before it, leaving
+    after it) at a region site departs early with the departure's
+    probability.  The walk order (buckets by index, entries in insertion
+    order) and the departure's own string-seeded RNG make the retiming
+    deterministic.  Retimed entries move to the trigger's bucket and
+    are returned; their leave time becomes the trigger, so no later
+    departure can select them again.
+    """
+    dep_rng = random.Random(f"{seed}/departure/{index}")
+    region = frozenset(departure.sites)
+    trigger = departure.time
+    moved: List[list] = []
+    for bucket_key in sorted(pending):
+        if (bucket_key + 1) * slot <= trigger:
+            continue  # bucket ends before the trigger
+        kept: List[list] = []
+        for entry in pending[bucket_key]:
+            leave_time, join_time, _channel, site, _seq = entry
+            if (join_time <= trigger < leave_time
+                    and site in region
+                    and dep_rng.random() < departure.fraction):
+                entry[0] = trigger
+                moved.append(entry)
+            else:
+                kept.append(entry)
+        pending[bucket_key] = kept
+    if moved:
+        pending.setdefault(int(trigger // slot), []).extend(moved)
+    return moved
 
 
 def write_stream_jsonl(events: Iterable[MembershipEvent], target) -> int:

@@ -6,11 +6,13 @@ parallelism only changes scheduling), the metrics planes all populate,
 and the stream prefix matches the committed golden.
 """
 
+import hashlib
 import io
 from pathlib import Path
 
 import pytest
 
+from repro.errors import ExperimentError
 from repro.experiments.churn import (
     SHARD_COUNT,
     archive_text,
@@ -93,6 +95,40 @@ class TestGoldenStreamPrefix:
         assert count == 256
         assert buffer.getvalue() == golden.read_text()
 
+    def test_blackout_stream_matches_committed_digest(self):
+        """The regional-blackout stream across its t=300 s departure
+        (event #267,776 is the first after it; 23,288 leaves are retimed
+        to the trigger).  The digest is ``sha256sum``'s, checked by CI
+        as well; regenerate with::
+
+            PYTHONPATH=src python -m repro.experiments churn \
+                --scenario regional-blackout --seed 1 --events 1 \
+                --stream-out blackout.jsonl --stream-limit 270000
+            sha256sum blackout.jsonl \
+                > tests/golden/churn_blackout_stream.sha256
+        """
+        golden = (Path(__file__).parent.parent / "golden"
+                  / "churn_blackout_stream.sha256")
+        buffer = io.StringIO()
+        count = write_stream_prefix("regional-blackout", 1, buffer,
+                                    limit=270_000)
+        assert count == 270_000
+        digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+        assert digest == golden.read_text().split()[0]
+
+
+class TestSizeOverrides:
+    def test_zero_events_means_zero_not_the_default(self):
+        payloads = run_churn(scenario_name="ci-small", seed=1, events=0,
+                             channels=30)
+        assert len(payloads) == 2 * SHARD_COUNT
+        assert all(p["events_applied"] == 0 for p in payloads)
+
+    @pytest.mark.parametrize("sizes", [dict(events=-5), dict(channels=0)])
+    def test_bad_sizes_fail_before_any_cell(self, sizes):
+        with pytest.raises(ExperimentError, match="churn needs"):
+            run_churn(scenario_name="ci-small", seed=1, **sizes)
+
 
 class TestScenarioCatalogue:
     def test_known_scenarios_resolve(self):
@@ -103,7 +139,5 @@ class TestScenarioCatalogue:
             assert scenario.channels > 0
 
     def test_unknown_scenario_rejected(self):
-        from repro.errors import ExperimentError
-
         with pytest.raises(ExperimentError):
             get_scenario("nope")

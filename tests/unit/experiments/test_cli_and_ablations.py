@@ -44,6 +44,27 @@ class TestCli:
         assert known in lines[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("target", ["churn", "flows"])
+    @pytest.mark.parametrize("flag", ["--events", "--channels"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_size_is_a_usage_error(self, target, flag, value,
+                                               capsys):
+        assert main([target, "--scenario", "ci-small",
+                     flag, value]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert f"{flag} must be >= 1, got {value}" in lines[0]
+        assert captured.out == ""
+
+    def test_negative_stream_limit_is_a_usage_error(self, tmp_path,
+                                                    capsys):
+        target = tmp_path / "prefix.jsonl"
+        assert main(["churn", "--scenario", "ci-small", "--stream-out",
+                     str(target), "--stream-limit", "-1"]) == 2
+        assert "--stream-limit must be >= 0" in capsys.readouterr().err
+        assert not target.exists()
+
     def test_progress_goes_to_stderr(self, capsys):
         main(["fig7a", "--runs", "2"])
         err = capsys.readouterr().err

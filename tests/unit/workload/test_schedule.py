@@ -133,6 +133,13 @@ class TestValidationAndIntrospection:
         with pytest.raises(WorkloadError):
             ChurnSchedule(model, ())
 
+    def test_negative_limit_rejected_at_the_call(self):
+        with pytest.raises(WorkloadError, match="event limit"):
+            make_schedule().events(limit=-5)
+
+    def test_zero_limit_is_an_empty_stream(self):
+        assert list(make_schedule().events(limit=0)) == []
+
     def test_bad_slot(self):
         model = make_schedule().model
         with pytest.raises(WorkloadError):
@@ -145,6 +152,34 @@ class TestValidationAndIntrospection:
     def test_describe(self):
         text = make_schedule().describe()
         assert "ChurnSchedule" in text and "4 sites" in text
+
+
+class TestLaziness:
+    """The stream is merged in slot order as it is drawn: pulling N
+    events draws at most N sessions plus one lookahead join (the join
+    whose due leaves are yielded first), never a whole 64 s slot."""
+
+    @pytest.mark.parametrize("n", [1, 10, 4_000])
+    def test_prefix_draws_only_what_it_yields(self, n, monkeypatch):
+        from repro.experiments.churn import (
+            build_schedule,
+            get_scenario,
+            scenario_setup,
+        )
+
+        scenario = get_scenario("iptv-primetime")
+        setup = scenario_setup(scenario, 1)
+        schedule = build_schedule(scenario, tuple(setup.candidates), 1)
+        draws = []
+        sample = SessionDuration.sample
+
+        def counted(self, rng):
+            draws.append(None)
+            return sample(self, rng)
+
+        monkeypatch.setattr(SessionDuration, "sample", counted)
+        assert len(list(schedule.events(limit=n))) == n
+        assert len(draws) <= n + 1
 
 
 class TestJsonl:
